@@ -10,14 +10,13 @@ Three measurements:
 2. **Seed stability** — the largest point (4 drones x 8 tenants) across
    three seeds with the chaos overlay on: invariants must hold for every
    seed.
-3. **Hot-path microbenchmarks** — the three optimizations this harness
+3. **Hot-path microbenchmarks** — two optimizations this harness
    motivated, measured on their saturated paths at the largest point's
    table sizes:
 
-   * binder ``_install_ref``: O(1) node-id index vs the linear scan
+   * cross-container permission check: a service call answered from the
+     permission memo vs one paying the full AM binder round trip
      (acceptance: >= 2x),
-   * cross-container permission check: memoized vs full AM binder round
-     trip (acceptance: >= 2x),
    * telemetry fan-out: one shared round vs T private timers per drone
      (recorded; the win is real but bounded by per-tenant encode cost).
 
@@ -52,19 +51,13 @@ WORKER_SWEEP = (1, 2) if SMOKE else (1, 2, 4, 8)
 #: the parallel sweep's fleet: sharding pays off with many drones.
 PARALLEL_FLEET = (2, 2) if SMOKE else (4, 8)
 
-#: Handle-table size for the binder microbenchmark: at 8 tenants the
-#: device container's process accumulates this order of installed refs
-#: (per-tenant AMs, service nodes, camera/sensor client sessions).
-HANDLE_TABLE = 64
-
 
 def run_point(drones: int, tenants: int, seed: int = 42,
-              chaos_level: int = 0, optimized: bool = True) -> dict:
+              chaos_level: int = 0) -> dict:
     start = time.perf_counter()
     result = run_scenario(
         FleetScenario(seed=seed, drones=drones, tenants_per_drone=tenants,
-                      chaos_level=chaos_level),
-        optimized=optimized)
+                      chaos_level=chaos_level))
     wall_s = time.perf_counter() - start
     return {
         "drones": drones,
@@ -215,31 +208,13 @@ def test_parallel_speedup(benchmark, record_result, metrics_registry,
             f"{os.cpu_count()} cores")
 
 
-def _bench_binder_install_ref(iters: int) -> dict:
-    """Linear vs indexed handle lookup on a realistic table."""
-    from repro.binder import BinderDriver
-
-    driver = BinderDriver(device_container_name="device")
-    server = driver.open(1, euid=1000, container="device", device_ns=None)
-    client = driver.open(2, euid=1000, container="device", device_ns=None)
-    nodes = [server.create_node(lambda txn: None, f"svc{i}").node
-             for i in range(HANDLE_TABLE)]
-    for node in nodes:                        # populate the handle table
-        client._install_ref(node)
-
-    timings = {}
-    for use_index in (False, True):
-        driver.use_handle_index = use_index
-        start = time.perf_counter()
-        for i in range(iters):
-            client._install_ref(nodes[i % HANDLE_TABLE])
-        timings["indexed" if use_index else "linear"] = \
-            time.perf_counter() - start
-    return timings
-
-
 def _bench_permission_check(iters: int) -> dict:
-    """Memoized vs uncached cross-container Android permission check."""
+    """A permission-guarded service call with and without the memo.
+
+    The op itself is stubbed to a constant so the timing is the dispatch
+    plus its access check: a memo hit vs the cross-container AM binder
+    round trip (no cache installed) on every call.
+    """
     from repro.android.permissions import PermissionCache
     from repro.binder.objects import Transaction
 
@@ -247,10 +222,12 @@ def _bench_permission_check(iters: int) -> dict:
         seed=42, drones=1, tenants_per_drone=1, workload_mix=["storm"]))
     node = harness.slots[0].node
     tenant = harness.slots[0].tenants[0]
+    node.vdc.waypoint_reached(tenant)
     vdrone = node.vdc.drones[tenant]
     app = next(iter(vdrone.env.apps.values()))
     service = node.device_env.system_server.services["SensorService"]
-    txn = Transaction(code="read", data={"sensor": "imu"},
+    service.op_noop = lambda txn: {"status": "ok"}
+    txn = Transaction(code="noop", data={},
                       calling_pid=app.pid, calling_euid=app.uid,
                       calling_container=tenant)
 
@@ -258,10 +235,10 @@ def _bench_permission_check(iters: int) -> dict:
     for cached in (False, True):
         node.device_env.permission_cache = PermissionCache() if cached \
             else None
-        assert service._android_permission_granted(txn) is True
+        assert service.handle_txn(txn) == {"status": "ok"}
         start = time.perf_counter()
         for _ in range(iters):
-            service._android_permission_granted(txn)
+            service.handle_txn(txn)
         timings["cached" if cached else "uncached"] = \
             time.perf_counter() - start
     return timings
@@ -320,25 +297,19 @@ def test_hotpath_microbench(benchmark, record_result, metrics_registry,
                             export_metrics):
     def run_all():
         return {
-            "binder": _bench_binder_install_ref(MICRO_ITERS),
             "permission": _bench_permission_check(MICRO_ITERS),
             "fanout": _bench_telemetry_fanout(MICRO_ITERS // 10),
         }
 
     micro = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
-    binder_x = micro["binder"]["linear"] / micro["binder"]["indexed"]
     permission_x = (micro["permission"]["uncached"]
                     / micro["permission"]["cached"])
     fanout_x = micro["fanout"]["timers"] / micro["fanout"]["fanout"]
 
     record_result("scale_hotpaths", render_table(
         ["Hot path", "Baseline (ms)", "Optimized (ms)", "Speedup"],
-        [("binder _install_ref (linear vs indexed)",
-          round(micro["binder"]["linear"] * 1e3, 2),
-          round(micro["binder"]["indexed"] * 1e3, 2),
-          f"{binder_x:.1f}x"),
-         ("permission check (AM round trip vs memo)",
+        [("permission check (AM round trip vs memo)",
           round(micro["permission"]["uncached"] * 1e3, 2),
           round(micro["permission"]["cached"] * 1e3, 2),
           f"{permission_x:.1f}x"),
@@ -347,19 +318,14 @@ def test_hotpath_microbench(benchmark, record_result, metrics_registry,
           round(micro["fanout"]["fanout"] * 1e3, 2),
           f"{fanout_x:.2f}x")],
         title=f"Saturated hot paths at the largest sweep point "
-              f"({HANDLE_TABLE}-entry handle table, {MICRO_ITERS} "
-              f"iterations; acceptance: binder and permission >= 2x)"))
+              f"({MICRO_ITERS} iterations; acceptance: permission >= 2x)"))
 
-    metrics_registry.gauge("scale.speedup", path="binder_install_ref").set(
-        round(binder_x, 2))
     metrics_registry.gauge("scale.speedup", path="permission_check").set(
         round(permission_x, 2))
     metrics_registry.gauge("scale.speedup", path="telemetry_fanout").set(
         round(fanout_x, 2))
     export_metrics("scale_hotpaths", metrics_registry)
 
-    assert binder_x >= 2.0, (
-        f"binder handle index only {binder_x:.1f}x over linear scan")
     assert permission_x >= 2.0, (
         f"permission memo only {permission_x:.1f}x over the AM round trip")
     # The fan-out win is bounded by the per-tenant send cost it cannot

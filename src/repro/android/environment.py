@@ -51,7 +51,8 @@ class AndroidEnvironment:
         self.device_ns = device_ns
         self.is_device_container = is_device_container
         #: VDC policy hook: (container, androne_device) -> bool.  Installed
-        #: by the VDC on the *device container's* environment.
+        #: by the VDC on the *device container's* environment; None
+        #: (standalone Android, as in unit tests) allows every device.
         self.permission_hook: Optional[Callable[[str, str], bool]] = None
         #: Cross-container checkPermission memo (device container only) —
         #: consulted by SystemService before the binder round trip and
@@ -85,14 +86,6 @@ class AndroidEnvironment:
         #: container-local broadcast bus (intents never cross containers).
         self.intents = IntentBus(container_name)
         self.apps: Dict[str, App] = {}
-
-    # -- policy ---------------------------------------------------------------
-    def policy_allows(self, container: str, device: str) -> bool:
-        """Consult the VDC hook; default-allow when no VDC is attached
-        (standalone Android, as in unit tests)."""
-        if self.permission_hook is None:
-            return True
-        return self.permission_hook(container, device)
 
     def retry_am_forwarding(self) -> bool:
         """Re-register the ActivityManager after the device container is up."""

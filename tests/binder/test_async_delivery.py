@@ -1,11 +1,15 @@
 """Batched async (oneway) delivery: one event per tick, not per message.
 
-``transact_async`` is the tentpole of the engine pass: every message
-queued within a simulator tick rides ONE flush event through the heap.
-These tests pin down the contract and hold the batched path to the
-per-message legacy oracle (``use_fast_path=False``): same replies, same
-order, same handler effects — only the event-queue traffic differs.
+Every ``transact_async`` message queued within a simulator tick rides ONE
+flush event through the heap.  These tests pin down the contract and
+hold that one path to the replies, order and handler effects recorded
+from both former delivery modes, batched and per-message
+(``fixtures/async_delivery_reference.json``) — only the event-queue
+traffic differs.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,21 @@ from repro.sim import Simulator
 #: (index into the seeded random tie-breaker family, see repro.sched).
 EXPLORED_SCHEDULES = [0, 1, 2, 3, 4]
 
+REFERENCE = json.loads(
+    (Path(__file__).parent / "fixtures" / "async_delivery_reference.json")
+    .read_text())
+
+
+def reference(batched):
+    """The recording of one former delivery mode (batched or per-message)."""
+    return REFERENCE["modes"]["batched" if batched else "per_message"]
+
+
+def recorded(replies, calls):
+    """Replies and handler effects in the fixture's JSON shape."""
+    return json.loads(json.dumps(
+        {"replies": replies, "calls": [[code, data] for code, data in calls]}))
+
 
 @pytest.fixture
 def registry():
@@ -28,10 +47,9 @@ def registry():
     obs.reset()
 
 
-def make_rig(batched: bool):
+def make_rig():
     """A driver bound to a sim with one echo service and a client."""
     driver = BinderDriver(device_container_name="device")
-    driver.use_fast_path = batched
     sim = Simulator()
     driver.bind_sim(sim)
     ns = NamespaceSet("vd1")
@@ -50,7 +68,7 @@ def make_rig(batched: bool):
 
 
 def test_batched_mode_uses_one_event_for_many_messages(registry):
-    driver, sim, _, client, handle, calls = make_rig(batched=True)
+    driver, sim, _, client, handle, calls = make_rig()
     replies = []
     for i in range(10):
         client.transact_async(handle, "ping", {"x": i},
@@ -66,22 +84,9 @@ def test_batched_mode_uses_one_event_for_many_messages(registry):
     assert histo.count == 1
 
 
-def test_legacy_mode_uses_one_event_per_message(registry):
-    driver, sim, _, client, handle, calls = make_rig(batched=False)
-    replies = []
-    for i in range(10):
-        client.transact_async(handle, "ping", {"x": i},
-                              on_reply=replies.append)
-    executed = sim.run(until=sim.now)
-    assert executed == 10, "the oracle schedules one event per message"
-    assert [r["echo"] for r in replies] == list(range(10))
-    # Per-event accounting stays honest: ten batches of one.
-    assert registry.counter("binder.async_batches").value == 10
-
-
 @pytest.mark.parametrize("batched", [True, False])
 def test_modes_agree_on_replies_order_and_effects(registry, batched):
-    _, sim, _, client, handle, calls = make_rig(batched=batched)
+    _, sim, _, client, handle, calls = make_rig()
     replies = []
     for i in range(25):
         client.transact_async(handle, f"op{i % 3}", {"x": i},
@@ -89,11 +94,12 @@ def test_modes_agree_on_replies_order_and_effects(registry, batched):
     sim.run(until=sim.now)
     assert [r["echo"] for r in replies] == list(range(25))
     assert [c[0] for c in calls] == [f"op{i % 3}" for i in range(25)]
+    assert recorded(replies, calls) == reference(batched)["burst"]
 
 
 @pytest.mark.parametrize("batched", [True, False])
 def test_dead_node_becomes_error_reply_not_exception(registry, batched):
-    _, sim, server, client, handle, _ = make_rig(batched=batched)
+    _, sim, server, client, handle, _ = make_rig()
     replies = []
     client.transact_async(handle, "ping", {"x": 1}, on_reply=replies.append)
     server.close()
@@ -101,6 +107,7 @@ def test_dead_node_becomes_error_reply_not_exception(registry, batched):
     sim.run(until=sim.now)
     assert len(replies) == 2
     assert "error" in replies[0] and "error" in replies[1]
+    assert replies == reference(batched)["dead_node"]
 
 
 def test_messages_sent_during_flush_ride_the_next_event(registry):
@@ -134,13 +141,13 @@ def test_messages_sent_during_flush_ride_the_next_event(registry):
 @pytest.mark.parametrize("batched", [True, False])
 def test_reply_order_holds_under_explored_schedules(
         registry, batched, schedule):
-    """Submission-order delivery is schedule-neutral on BOTH paths.
+    """Submission-order delivery is schedule-neutral.
 
-    The legacy path once violated this: each message rode its own
+    Per-message delivery once violated this: each message rode its own
     delivery event's closure, so permuting same-tick events permuted
     one sender's replies (see tests/sched/fixtures/).
     """
-    _, sim, _, client, handle, calls = make_rig(batched=batched)
+    _, sim, _, client, handle, calls = make_rig()
     replies = []
     for i in range(25):
         client.transact_async(handle, f"op{i % 3}", {"x": i},
@@ -149,6 +156,8 @@ def test_reply_order_holds_under_explored_schedules(
     sim.run(until=sim.now)
     assert [r["echo"] for r in replies] == list(range(25))
     assert [c[1]["x"] for c in calls] == list(range(25))
+    assert (recorded(replies, calls)
+            == reference(batched)["schedules"][str(schedule)])
 
 
 def test_transact_async_requires_bound_sim():
@@ -160,7 +169,7 @@ def test_transact_async_requires_bound_sim():
 
 
 def test_transact_async_rejects_closed_process():
-    driver, _, _, client, handle, _ = make_rig(batched=True)
+    driver, _, _, client, handle, _ = make_rig()
     client.close()
     with pytest.raises(BinderError, match="closed"):
         client.transact_async(handle, "ping", {})

@@ -8,8 +8,9 @@ things:
 - a checked-in digest: any change to the traced behavior of the stack
   shows up as a digest mismatch.  Intentional changes regenerate it with
   ``ANDRONE_UPDATE_GOLDEN=1 pytest tests/loadgen/test_golden_trace.py``;
-- optimization transparency: the hot-path optimizations leave the
-  event/span stream identical at T=1.
+- optimization transparency: the event/span stream at T=1 hashes to
+  the digest recorded with every hot-path optimization off
+  (``fixtures/legacy_reference.json``).
 """
 
 import hashlib
@@ -32,10 +33,10 @@ WALL_CLOCK_MARKER = '"unit": "us-wall"'
 SCENARIO = FleetScenario(seed=2024, drones=1, tenants_per_drone=1)
 
 
-def _traced_run(tmp_path, name, optimized=True):
+def _traced_run(tmp_path, name):
     """Run the scenario with tracing enabled; return the filtered lines."""
     obs.reset()
-    harness = FleetHarness(SCENARIO, optimized=optimized)
+    harness = FleetHarness(SCENARIO)
     obs.enable(harness.system.sim)
     try:
         harness.run()
@@ -74,11 +75,13 @@ class TestGoldenTrace:
     def test_optimizations_leave_behavior_trace_identical(self, tmp_path):
         """At T=1 the binder index, permission cache and fanout batching
         must not change a single observable event or span."""
-        def behavior(lines):
-            records = [json.loads(line) for line in lines]
-            return [r for r in records
+        records = [json.loads(line)
+                   for line in _traced_run(tmp_path, "behavior")]
+        behavior = [r for r in records
                     if r["kind"] in ("event", "span_begin", "span_end")]
-
-        optimized = behavior(_traced_run(tmp_path, "opt", optimized=True))
-        baseline = behavior(_traced_run(tmp_path, "base", optimized=False))
-        assert optimized == baseline
+        reference = json.loads(
+            (Path(__file__).parent / "fixtures" / "legacy_reference.json")
+            .read_text())
+        digest = hashlib.sha256(
+            json.dumps(behavior, sort_keys=True).encode()).hexdigest()
+        assert digest == reference["golden_behavior_sha256"]

@@ -4,8 +4,8 @@ Three hot-path behaviors the load harness exercises at scale are pinned
 down here with hypothesis so regressions show up in seconds, not after a
 ten-minute soak:
 
-- the binder handle index returns exactly the handles the linear scan
-  would (the optimized path is a pure speedup);
+- binder handle installation numbers handles from 1 in first-install
+  order and hands a repeat install the handle it already holds;
 - enlarging a whitelist never revokes anything (template customization
   is monotone);
 - the VFC geofence filter denies a waypoint iff it is outside the fence.
@@ -33,10 +33,9 @@ lookup_sequences = st.lists(
     min_size=1, max_size=64)
 
 
-def _handles_for(sequence, use_index):
+def _handles_for(sequence):
     """Run one _install_ref call sequence on a fresh driver."""
     driver = BinderDriver(device_container_name="device")
-    driver.use_handle_index = use_index
     ns = NamespaceSet("device")
     server = driver.open(1, euid=1000, container="device",
                         device_ns=ns.device_ns)
@@ -50,15 +49,19 @@ def _handles_for(sequence, use_index):
 class TestBinderHandleIndex:
     @given(lookup_sequences)
     @settings(max_examples=50, deadline=None)
-    def test_index_matches_linear_oracle(self, sequence):
-        # The O(1) index must hand out exactly the handle sequence the
-        # pre-index linear scan would — same numbering, same reuse.
-        assert _handles_for(sequence, True) == _handles_for(sequence, False)
+    def test_handles_follow_install_order(self, sequence):
+        # The specification: the n-th distinct node installed gets handle
+        # n (0 is the context manager), and a repeat install returns the
+        # handle that node already has.
+        first_seen = {}
+        for node in sequence:
+            first_seen.setdefault(node, len(first_seen) + 1)
+        assert _handles_for(sequence) == [first_seen[n] for n in sequence]
 
     @given(lookup_sequences)
     @settings(max_examples=50, deadline=None)
     def test_repeat_installs_are_stable(self, sequence):
-        handles = _handles_for(sequence + sequence, True)
+        handles = _handles_for(sequence + sequence)
         first, second = handles[:len(sequence)], handles[len(sequence):]
         assert first == second
 

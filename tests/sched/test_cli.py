@@ -8,7 +8,7 @@ import pytest
 from repro.sched.cli import main
 
 FIXTURE = str(Path(__file__).parent / "fixtures"
-              / "binder-burst-legacy-sender-order.json")
+              / "binder-burst-sender-order.json")
 
 
 def test_list_shows_scenarios_strategies_oracles(capsys):
@@ -30,13 +30,8 @@ def test_explore_clean_scenario_exits_zero(capsys):
 
 
 def test_explore_violation_exits_one_and_writes_artifact(
-        tmp_path, capsys, monkeypatch):
-    from repro.binder.driver import BinderDriver
-
-    monkeypatch.setattr(
-        BinderDriver, "_deliver_legacy_head",
-        lambda self: self._deliver_batch([self._legacy_pending.pop()]))
-    code = main(["explore", "--scenario", "binder-burst-legacy",
+        tmp_path, capsys, per_message_delivery):
+    code = main(["explore", "--scenario", "binder-burst",
                  "--schedules", "3", "--out", str(tmp_path)])
     assert code == 1
     captured = capsys.readouterr()
@@ -44,10 +39,9 @@ def test_explore_violation_exits_one_and_writes_artifact(
     artifacts = list(tmp_path.glob("*.json"))
     assert artifacts, "violations must be written to --out"
     artifact = json.loads(artifacts[0].read_text())
-    assert artifact["scenario"] == "binder-burst-legacy"
-    # Pop-tail delivery misorders even under FIFO, so the shrunk
-    # schedule can legitimately be empty; the failure record is the
-    # thing that must survive.
+    assert artifact["scenario"] == "binder-burst"
+    assert artifact["schedule"], "per-message delivery only misorders " \
+        "under a non-FIFO schedule"
     assert artifact["failures"]
 
 

@@ -66,19 +66,14 @@ def test_replay_reproduces_digest_bit_for_bit(burst_explorer):
     assert outcome.digest == report.digest
 
 
-def test_legacy_violation_found_shrunk_and_replayable(tmp_path, monkeypatch):
+def test_legacy_violation_found_shrunk_and_replayable(
+        tmp_path, per_message_delivery):
     """End to end against a reintroduced bug: the explorer must find the
-    legacy ordering violation, shrink it, and emit a replayable artifact.
-
-    The pre-fix behavior is simulated by restoring per-event message
-    capture (delivering the tail of the queue instead of the head).
+    original per-message delivery ordering violation, shrink it, and
+    emit a replayable artifact (``per_message_delivery`` restores
+    per-event message capture on ``binder-burst``).
     """
-    from repro.binder.driver import BinderDriver
-
-    monkeypatch.setattr(
-        BinderDriver, "_deliver_legacy_head",
-        lambda self: self._deliver_batch([self._legacy_pending.pop()]))
-    scenario = make_scenario("binder-burst-legacy")
+    scenario = make_scenario("binder-burst")
     explorer = Explorer(scenario, seed=42)
     result = explorer.explore(schedules=5, strategy="random")
     assert result.violations, "the seeded burst must surface the bug"

@@ -39,7 +39,7 @@ def test_fixture_replays_clean(path):
 def test_sender_order_fixture_documents_the_original_failure():
     artifact = load_artifact(
         Path(__file__).parent / "fixtures"
-        / "binder-burst-legacy-sender-order.json")
+        / "binder-burst-sender-order.json")
     assert "sender-order" in artifact["failures_when_found"]
     assert artifact["failures"] == {}, "fixture must encode the fixed state"
     assert artifact["schedule"], "fixture must carry a non-empty schedule"

@@ -19,8 +19,8 @@ scalar flight integrator — then renders:
 
 The per-PR optimization workflow (see docs/PERFORMANCE.md): profile,
 attack the top row, prove behavior-neutrality with the golden trace and
-the equivalence tests, re-run ``benchmarks/bench_throughput.py``, and
-record the before/after in the optimization ledger.
+the reference fixtures, re-run ``python3 perfbench/run.py`` (``make
+perfbench``), and record the before/after in the optimization ledger.
 
 Usage::
 
