@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Union
 
 import repro.obs as obs
@@ -41,6 +41,10 @@ from repro.cloud.controlplane.placement import (
 from repro.cloud.controlplane.ring import ConsistentHashRouter
 from repro.cloud.controlplane.shard import ControlPlaneShard
 from repro.cloud.portal import Order
+
+
+#: Record states in which a tenant still holds fleet or migration work.
+ACTIVE_STATES = frozenset(("queued", "flying", "migrating"))
 
 
 @dataclass
@@ -108,6 +112,9 @@ class CityControlPlane:
             retry_backoff_s=migration_retry_backoff_s,
             journal=self.journal)
         self.records: Dict[str, TenantRecord] = {}
+        #: tenant -> record for every record in an ACTIVE_STATES state,
+        #: kept by _set_record_state; a dict so walks follow transition order.
+        self.active: Dict[str, TenantRecord] = {}
         self._journal: List[Dict[str, Any]] = []
         self._launch_scheduled: set = set()
         self._locality_sum_m = 0.0
@@ -127,6 +134,14 @@ class CityControlPlane:
         the same decisions at the same sim times in the same order."""
         payload = json.dumps(self._journal, sort_keys=True).encode("utf-8")
         return hashlib.sha256(payload).hexdigest()
+
+    def _set_record_state(self, record: TenantRecord, state: str) -> None:
+        """The one writer of ``TenantRecord.state``; keeps ``active``."""
+        record.state = state
+        if state in ACTIVE_STATES:
+            self.active[record.tenant] = record
+        else:
+            self.active.pop(record.tenant, None)
 
     # -- order intake -----------------------------------------------------------
     def shard_for(self, user: str) -> ControlPlaneShard:
@@ -169,7 +184,7 @@ class CityControlPlane:
             shard.portal.cancel_order(order.order_id)
             obs.counter("cp.rejected", shard=shard.shard_id,
                         reason="capacity").inc()
-            record.state = "rejected"
+            self._set_record_state(record, "rejected")
             self.records[tenant] = record
             self.journal(kind="order_rejected", tenant=tenant,
                          shard=shard.shard_id, reason="capacity")
@@ -182,7 +197,7 @@ class CityControlPlane:
         drone = self.fleet.get(decision.drone_id)
         drone.enqueue(record.request.as_placed())
         record.drone_id = decision.drone_id
-        record.state = "queued"
+        self._set_record_state(record, "queued")
         self.records[record.tenant] = record
         self._locality_sum_m += decision.distance_m
         self._locality_count += 1
@@ -218,7 +233,7 @@ class CityControlPlane:
                      tenants=sorted(p.tenant for p in manifest))
         for placed in manifest:
             record = self.records[placed.tenant]
-            record.state = "flying"
+            self._set_record_state(record, "flying")
             shard = self._shards_by_id[record.shard_id]
             local_id = record.order_id % 1_000_000
             shard.portal.flight_started(
@@ -244,14 +259,14 @@ class CityControlPlane:
                 shard.portal.flight_completed(
                     record.order_id,
                     [f"files/{record.tenant}/summary.json"])
-                record.state = "completed"
+                self._set_record_state(record, "completed")
                 record.completed_t_us = self.sim.now
                 obs.counter("cp.completed", shard=record.shard_id).inc()
                 self.journal(kind="tenant_completed", tenant=record.tenant,
                              shard=record.shard_id)
             else:
                 shard.portal.flight_interrupted(record.order_id)
-                record.state = "migrating"
+                self._set_record_state(record, "migrating")
                 record.migrations += 1
                 self._begin_migration(record, drone_id)
         self._maybe_schedule_flight(drone_id)
@@ -284,7 +299,7 @@ class CityControlPlane:
                 f"{ticket.tenant!r}")
         drone.enqueue(ticket.request.as_placed())
         record.drone_id = decision.drone_id
-        record.state = "queued"
+        self._set_record_state(record, "queued")
         self._locality_sum_m += decision.distance_m
         self._locality_count += 1
         obs.counter("cp.placements", drone=decision.drone_id,
@@ -294,7 +309,7 @@ class CityControlPlane:
     def _migration_failed(self, ticket: MigrationTicket,
                           error: MigrationError) -> None:
         record = self.records[ticket.tenant]
-        record.state = "failed"
+        self._set_record_state(record, "failed")
         record.completed_t_us = self.sim.now
         shard = self._shards_by_id[record.shard_id]
         # Terminal: the order stays interrupted (the tenant's state is
@@ -335,9 +350,7 @@ class CityControlPlane:
     # -- roll-ups ---------------------------------------------------------------
     def rollup(self) -> None:
         """Refresh fleet-level gauges from shard and fleet state."""
-        active = sum(1 for r in self.records.values()
-                     if r.state in ("queued", "flying", "migrating"))
-        obs.gauge("cp.tenants_active").set(active)
+        obs.gauge("cp.tenants_active").set(len(self.active))
         for shard in self.shards:
             obs.gauge("cp.shard_pending",
                       shard=shard.shard_id).set(shard.admission.pending)
@@ -351,15 +364,3 @@ class CityControlPlane:
         if not self._locality_count:
             return 0.0
         return self._locality_sum_m / self._locality_count
-
-    def stats(self) -> Dict[str, Any]:
-        by_state: Dict[str, int] = {}
-        for record in self.records.values():
-            by_state[record.state] = by_state.get(record.state, 0) + 1
-        return {
-            "tenants": len(self.records),
-            "by_state": by_state,
-            "flights": sum(d.flights_flown for d in self.fleet.states()),
-            "migrations": self.migrations.stats(),
-            "shards": [shard.snapshot() for shard in self.shards],
-        }

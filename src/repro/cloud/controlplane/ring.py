@@ -8,6 +8,11 @@ shard workers.  Users are mapped to shards by position on a hash ring
 consistent-hashing property is what makes elastic resharding cheap:
 removing a shard moves *only* the keys that shard owned, and adding it
 back restores the exact previous mapping.
+
+Lookups are memoized per membership: every add or remove clears the
+memo and bumps :attr:`ConsistentHashRouter.epoch`, so a caller that
+checked a key under one epoch knows its answer stands until the epoch
+moves.
 """
 
 from __future__ import annotations
@@ -41,6 +46,9 @@ class ConsistentHashRouter:
         self.vnodes = vnodes
         self._points: List[Tuple[int, str]] = []
         self._shards: Dict[str, List[int]] = {}
+        self._memo: Dict[str, str] = {}
+        #: bumped on every membership change; routes are fixed within one.
+        self.epoch = 0
         for shard_id in shard_ids:
             self.add_shard(shard_id)
         if not self._shards:
@@ -58,6 +66,7 @@ class ConsistentHashRouter:
         self._shards[shard_id] = points
         for point in points:
             bisect.insort(self._points, (point, shard_id))
+        self._membership_changed()
 
     def remove_shard(self, shard_id: str) -> None:
         if shard_id not in self._shards:
@@ -68,16 +77,23 @@ class ConsistentHashRouter:
         points = set(self._shards.pop(shard_id))
         self._points = [(p, s) for p, s in self._points
                         if not (s == shard_id and p in points)]
+        self._membership_changed()
+
+    def _membership_changed(self) -> None:
+        self._memo.clear()
+        self.epoch += 1
 
     # -- routing --------------------------------------------------------------
     def route(self, key: str) -> str:
         """The shard owning ``key``: the first ring point at or after
         the key's coordinate, wrapping at the top of the ring."""
-        coordinate = _point(key)
-        index = bisect.bisect_left(self._points, (coordinate, ""))
-        if index == len(self._points):
-            index = 0
-        return self._points[index][1]
+        shard_id = self._memo.get(key)
+        if shard_id is None:
+            index = bisect.bisect_left(self._points, (_point(key), ""))
+            if index == len(self._points):
+                index = 0
+            shard_id = self._memo[key] = self._points[index][1]
+        return shard_id
 
     def table(self, keys: Iterable[str]) -> Dict[str, str]:
         """key -> shard for every key (tests and rebalance audits)."""

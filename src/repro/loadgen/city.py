@@ -19,7 +19,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import islice
+from typing import Any, Dict, List
 
 import repro.obs as obs
 from repro.cloud.controlplane import (
@@ -226,6 +227,15 @@ class CityInvariantMonitor:
       ``[0, max_pending]``.
     * **routing stability** — every accepted order still routes to the
       shard that admitted it.
+
+    Each sweep costs what changed, not what the city has seen.  A
+    record's shard and a user's route only change when a record is
+    admitted or the ring's membership moves, so routing checks the
+    records added since the last sweep, and all of them again when
+    ``router.epoch`` moves.  Placement walks the fleet's host map (at
+    most drones x capacity x 2 entries) and the plane's ``active``
+    tenants; a terminal record can only be wrong while some drone still
+    hosts it.
     """
 
     def __init__(self, sim: Simulator, plane: CityControlPlane,
@@ -237,6 +247,9 @@ class CityInvariantMonitor:
         self.violations: List[CityViolation] = []
         self.checks = 0
         self._running = False
+        #: records already routing-checked under ``_routed_epoch``.
+        self._routed = 0
+        self._routed_epoch = plane.router.epoch
 
     def start(self) -> "CityInvariantMonitor":
         if not self._running:
@@ -296,19 +309,21 @@ class CityInvariantMonitor:
         for drone in self.plane.fleet.states():
             for tenant in list(drone.pending) + list(drone.flying):
                 hosts.setdefault(tenant, []).append(drone.spec.drone_id)
+        records = self.plane.records
         for tenant, drone_ids in hosts.items():
             if len(drone_ids) > 1:
                 self._flag(tenant, "single-placement",
                            f"hosted by {sorted(drone_ids)} simultaneously")
-        for tenant, record in self.plane.records.items():
-            hosted = tenant in hosts
-            if record.state in ("queued", "flying") and not hosted:
-                self._flag(tenant, "conservation",
-                           f"state {record.state!r} but hosted by no drone")
-            if record.state in ("completed", "failed", "rejected") and hosted:
+            record = records.get(tenant)
+            if record is not None and record.state in (
+                    "completed", "failed", "rejected"):
                 self._flag(tenant, "conservation",
                            f"state {record.state!r} but still hosted by "
-                           f"{hosts[tenant]}")
+                           f"{drone_ids}")
+        for tenant, record in self.plane.active.items():
+            if record.state in ("queued", "flying") and tenant not in hosts:
+                self._flag(tenant, "conservation",
+                           f"state {record.state!r} but hosted by no drone")
 
     def _check_admission(self) -> None:
         for shard in self.plane.shards:
@@ -319,8 +334,14 @@ class CityInvariantMonitor:
                            f"[0, {self.max_pending}]")
 
     def _check_routing(self) -> None:
-        for record in self.plane.records.values():
-            owner = self.plane.router.route(record.user)
+        router, records = self.plane.router, self.plane.records
+        if router.epoch != self._routed_epoch:
+            self._routed, self._routed_epoch = 0, router.epoch
+        fresh = list(islice(reversed(records.values()),
+                            len(records) - self._routed))
+        self._routed = len(records)
+        for record in reversed(fresh):
+            owner = router.route(record.user)
             if owner != record.shard_id:
                 self._flag(record.tenant, "routing",
                            f"user {record.user!r} admitted on "
@@ -416,9 +437,9 @@ class CityHarness:
         self.capacity_retries = 0
         self.orders_rejected = 0
         self._submitted = 0
-        #: logical order index -> tenant name once placed, or None while
-        #: still retrying / after permanent rejection.
-        self._placed: Dict[int, Optional[str]] = {}
+        #: logical order index -> tenant name, once placed; an index is
+        #: in at most one of _placed and _rejected.
+        self._placed: Dict[int, str] = {}
         self._rejected: set = set()
         self._done = False
         self._deadline_hit = False
@@ -530,17 +551,10 @@ class CityHarness:
             self._finish()
             return
         if self._submitted >= self.scenario.orders:
-            outstanding = 0
-            for index in range(self.scenario.orders):
-                if index in self._rejected:
-                    continue
-                tenant = self._placed.get(index)
-                if tenant is None:
-                    outstanding += 1   # still retrying
-                    continue
-                if self.plane.records[tenant].state not in (
-                        "completed", "failed"):
-                    outstanding += 1
+            # Orders still retrying, plus placed ones not yet finished:
+            # every active tenant was placed by one of our orders.
+            outstanding = (self.scenario.orders - len(self._placed)
+                           - len(self._rejected) + len(self.plane.active))
             if outstanding == 0:
                 self._finish()
                 return
@@ -561,7 +575,7 @@ class CityHarness:
                            self._inject_restart)
         self.sim.run()
         states = [self.plane.records[t].state
-                  for t in self._placed.values() if t is not None]
+                  for t in self._placed.values()]
         return CityResult(
             scenario=self.scenario,
             duration_s=self.sim.now / 1e6,

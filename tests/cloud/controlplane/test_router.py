@@ -4,9 +4,12 @@ The elastic-resharding properties the control plane leans on: routing
 is a pure function of (key, membership, vnodes) — no process state, no
 ``hash()`` randomization — removing a shard moves *only* the keys that
 shard owned, and adding it back restores the exact previous mapping.
+Lookups are memoized per ring epoch, so the memo must never outlive a
+membership change.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cloud.controlplane import (
     ConsistentHashRouter,
@@ -87,3 +90,42 @@ class TestMembershipChanges:
     def test_empty_ring_is_typed(self):
         with pytest.raises(ControlPlaneConfigError):
             ConsistentHashRouter([])
+
+
+POOL = [f"shard-{i}" for i in range(6)]
+
+
+class TestMemo:
+    @given(changes=st.lists(
+        st.tuples(st.booleans(), st.sampled_from(POOL)), max_size=8))
+    @settings(max_examples=25, deadline=None)
+    def test_memoized_routes_match_a_fresh_router(self, changes):
+        router = make_router()
+        router.table(KEYS)  # fill the memo before every change
+        for add, shard_id in changes:
+            members = router.shard_ids()
+            if add and shard_id not in members:
+                router.add_shard(shard_id)
+            elif not add and shard_id in members and len(members) > 1:
+                router.remove_shard(shard_id)
+            router.table(KEYS)
+        fresh = ConsistentHashRouter(router.shard_ids(), vnodes=64)
+        assert router.table(KEYS) == fresh.table(KEYS)
+
+    def test_epoch_moves_on_every_membership_change(self):
+        router = make_router()
+        epochs = [router.epoch]
+        for change in (lambda: router.remove_shard("shard-2"),
+                       lambda: router.add_shard("shard-2"),
+                       lambda: router.add_shard("shard-7"),
+                       lambda: router.remove_shard("shard-0")):
+            change()
+            epochs.append(router.epoch)
+        assert epochs == sorted(set(epochs))
+
+    def test_routing_does_not_move_the_epoch(self):
+        router = make_router()
+        epoch = router.epoch
+        router.table(KEYS)
+        router.table(KEYS)
+        assert router.epoch == epoch

@@ -1,14 +1,17 @@
 #!/usr/bin/env python
 """Profile the engine's hot paths and report where the time goes.
 
-``make profile`` runs this.  It drives three representative workloads
+``make profile`` runs this.  It drives four representative workloads
 under cProfile — the figure-10 device-service storm (the binder/service
-hot loop), a small fleet soak (the full simulator event loop), and the
-scalar flight integrator — then renders:
+hot loop), a small fleet soak (the full simulator event loop), the
+scalar flight integrator, and a 160-order city through the sharded
+control plane — then renders:
 
 * a **per-subsystem table**: own-time (tottime) summed over every
   function in each top-level ``repro.*`` package, so "binder is 31% of
-  the storm" is one glance, not a pstats spelunk;
+  the storm" is one glance, not a pstats spelunk.  The control plane
+  (``repro.cloud.controlplane``) and the city harness with its
+  invariant monitor (``repro.loadgen.city``) get rows of their own;
 * the **top functions** by own time, with call counts;
 * ``profiles/<workload>.pstats`` — the raw stats, loadable with
   ``python -m pstats`` or snakeviz;
@@ -94,20 +97,42 @@ def workload_flight(calls: int):
     return run
 
 
+def workload_city(calls: int):
+    """A 160-order city: routing, placement, migration, invariant sweeps."""
+    from repro.loadgen import CityHarness, CityScenario
+
+    harness = CityHarness(CityScenario(
+        seed=12345, orders=160, migration_retry_limit=300))
+    return harness.run
+
+
 WORKLOADS = {
     "storm": workload_storm,
     "soak": workload_soak,
     "flight": workload_flight,
+    "city": workload_city,
 }
 
 
 # ---------------------------------------------------------------- reporting
+#: Paths under repro/ reported as a subsystem of their own rather than
+#: folded into their top-level package.
+NAMED_SUBSYSTEMS = (
+    ("cloud/controlplane/", "repro.cloud.controlplane"),
+    ("loadgen/city.py", "repro.loadgen.city"),
+)
+
+
 def subsystem_of(filename: str) -> str:
-    """Map a stats filename onto its top-level repro package."""
+    """Map a stats filename onto its top-level repro package, or onto
+    one of the NAMED_SUBSYSTEMS."""
     marker = "repro/"
     if marker not in filename.replace("\\", "/"):
         return "(stdlib/other)"
     tail = filename.replace("\\", "/").split(marker, 1)[1]
+    for prefix, name in NAMED_SUBSYSTEMS:
+        if tail.startswith(prefix):
+            return name
     part = tail.split("/", 1)
     return f"repro.{part[0].removesuffix('.py')}"
 
@@ -193,7 +218,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", default="all",
                         choices=["all", *WORKLOADS])
     parser.add_argument("--calls", type=int, default=20_000,
-                        help="storm/flight iteration count (soak ignores it)")
+                        help="storm/flight iteration count (soak and city "
+                             "ignore it)")
     parser.add_argument("--out", default="profiles",
                         help="output directory for .pstats/.folded files")
     parser.add_argument("--top", type=int, default=15)
