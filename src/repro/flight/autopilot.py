@@ -15,6 +15,7 @@ experiment exercises the same coupling.
 from __future__ import annotations
 
 import math
+from math import cos, sin, tan
 from typing import Callable, List, Optional, Tuple
 
 from repro.devices.gps import GpsFix
@@ -56,6 +57,8 @@ WP_ACCEPT_M = 2.0
 #: chaos hit this); landing descends straight down from within the pad
 #: area regardless.
 RTL_LAND_ACCEPT_M = 2.0 * WP_ACCEPT_M
+#: Pilot-input modes: with no RC attached they hold a level attitude.
+_PILOT_MODES = (CopterMode.STABILIZE, CopterMode.ALT_HOLD)
 
 
 class DirectSensors:
@@ -124,6 +127,11 @@ class Autopilot:
         self._since_gps = 1_000_000
         self._since_baro = 1_000_000
         self._since_mag = 1_000_000
+        #: (altitude estimate, time_us) the climb rate is differenced
+        #: from; None until the first fast-loop tick.
+        self._last_alt: Optional[Tuple[float, int]] = None
+        #: ALT_HOLD's captured altitude; None until first needed.
+        self._althold_target: Optional[float] = None
         self.fast_loop_count = 0
         self.status_texts: List[str] = []
 
@@ -185,7 +193,7 @@ class Autopilot:
 
     def _althold_alt(self) -> float:
         """ALT_HOLD's captured altitude (set on mode entry)."""
-        if getattr(self, "_althold_target", None) is None:
+        if self._althold_target is None:
             self._althold_target = self.position_est.position[2]
         return self._althold_target
 
@@ -313,56 +321,56 @@ class Autopilot:
         self.fast_loop_count += 1
         self.time_us += int(round(dt_s * 1e6))
         self._read_sensors(dt_s)
+        pos_est = self.position_est
+        position = pos_est.position
         if self.log is not None and self.truth_provider is not None:
             truth = self.truth_provider()
             self.log.record(
                 self.time_us, self.attitude_est, truth,
-                tuple(self.position_est.position), self.mode.name,
+                tuple(position), self.mode.name,
             )
         if not self.armed:
             return (0.0, 0.0, 0.0, 0.0)
 
         self._navigate(dt_s)
-        desired_roll, desired_pitch = 0.0, 0.0
-        target_alt = self.target_enu[2]
+        # _navigate may switch mode or replace the target.
+        mode = self.mode
+        target_enu = self.target_enu
+        target_alt = target_enu[2]
         if self.velocity_target is not None:
             ve, vn, vu = self.velocity_target
             # Velocity mode: chase a moving virtual target point.
-            self.target_enu[0] += ve * dt_s
-            self.target_enu[1] += vn * dt_s
-            self.target_enu[2] += vu * dt_s
-            target_alt = self.target_enu[2]
-        if self.mode in (CopterMode.STABILIZE, CopterMode.ALT_HOLD):
+            target_enu[0] += ve * dt_s
+            target_enu[1] += vn * dt_s
+            target_enu[2] += vu * dt_s
+            target_alt = target_enu[2]
+        if mode in _PILOT_MODES:
             # Pilot-input modes with no RC attached: hold a level
             # attitude; the vehicle weathervanes/drifts with the wind.
             desired_roll, desired_pitch = 0.0, 0.0
         else:
             desired_roll, desired_pitch = self.pos_ctrl.update(
-                self.target_enu, self.position_est.position,
-                self.position_est.velocity, self.attitude_est.yaw, dt_s,
-                self.speed_limit_ms,
+                target_enu, position, pos_est.velocity,
+                self.attitude_est.yaw, dt_s, self.speed_limit_ms,
             )
-        if self.mode is CopterMode.LAND:
-            target_alt = max(-1.0, self.position_est.position[2] - 1.0)
-        if self.mode is CopterMode.STABILIZE:
+        if mode is CopterMode.LAND:
+            target_alt = max(-1.0, position[2] - 1.0)
+        if mode is CopterMode.STABILIZE:
             # No altitude hold either: constant hover throttle.
             throttle = self.alt_ctrl.hover_throttle
-        elif self.mode is CopterMode.ALT_HOLD:
-            throttle = self.alt_ctrl.update(
-                self._althold_alt(), self.position_est.position[2],
-                self.position_est.velocity[2], dt_s,
-            )
         else:
+            if mode is CopterMode.ALT_HOLD:
+                target_alt = self._althold_alt()
             throttle = self.alt_ctrl.update(
-                target_alt, self.position_est.position[2],
-                self.position_est.velocity[2], dt_s,
-            )
-        yaw_target = self.target_yaw if self.target_yaw is not None else self.attitude_est.yaw
+                target_alt, position[2], pos_est.velocity[2], dt_s)
+        yaw_target = self.target_yaw
+        if yaw_target is None:
+            yaw_target = self.attitude_est.yaw
         torques = self.att_ctrl.update(
             AttitudeTarget(desired_roll, desired_pitch, yaw_target),
             self.attitude_est, dt_s,
         )
-        if self.mode is CopterMode.LAND and self.position_est.position[2] < 0.08:
+        if mode is CopterMode.LAND and position[2] < 0.08:
             self.armed = False
             return (0.0, 0.0, 0.0, 0.0)
         return mix_motors(throttle, *torques)
@@ -379,21 +387,29 @@ class Autopilot:
         imu = self.sensors.read_imu()
         if self.log is not None:
             self.log.record_imu(self.time_us, imu.accel[2])
-        self.attitude_est.update(imu, dt_s, heading)
+        est = self.attitude_est
+        est.update(imu, dt_s, heading)
         # INS-style dead reckoning between GPS fixes: horizontal
         # acceleration follows from the estimated lean angles (thrust tilt)
-        # minus an airframe drag term.
-        est = self.attitude_est
-        a_forward = -math.tan(max(-0.6, min(0.6, est.pitch))) * 9.80665
-        a_right = math.tan(max(-0.6, min(0.6, est.roll))) * 9.80665
-        sy, cy = math.sin(est.yaw), math.cos(est.yaw)
+        # minus an airframe drag term.  The lean angles are clamped to
+        # +-0.6 rad (min() then max(), as conditional expressions).
+        pitch = est.pitch
+        pitch = pitch if pitch < 0.6 else 0.6
+        roll = est.roll
+        roll = roll if roll < 0.6 else 0.6
+        a_forward = -tan(pitch if pitch > -0.6 else -0.6) * 9.80665
+        a_right = tan(roll if roll > -0.6 else -0.6) * 9.80665
+        yaw = est.yaw
+        sy, cy = sin(yaw), cos(yaw)
         drag = 0.23
-        accel_e = a_forward * sy + a_right * cy - drag * self.position_est.velocity[0]
-        accel_n = a_forward * cy - a_right * sy - drag * self.position_est.velocity[1]
-        self.position_est.predict((accel_e, accel_n, 0.0), dt_s)
+        pos_est = self.position_est
+        velocity = pos_est.velocity
+        accel_e = a_forward * sy + a_right * cy - drag * velocity[0]
+        accel_n = a_forward * cy - a_right * sy - drag * velocity[1]
+        pos_est.predict((accel_e, accel_n, 0.0), dt_s)
         if self._since_baro >= 40_000:   # 25 Hz baro
             self._since_baro = 0
-            self.position_est.correct_baro(self.sensors.read_baro_alt())
+            pos_est.correct_baro(self.sensors.read_baro_alt())
         if self._since_gps >= 200_000:   # 5 Hz GPS
             self._since_gps = 0
             fix = self.sensors.read_gps()
@@ -407,19 +423,20 @@ class Autopilot:
             # the last few metres of a hover and long soaks see RTL crawl for
             # minutes.  Doppler velocity is quiet (~0.1 m/s) and is what real
             # flight stacks fuse.
-            self.position_est.correct_gps(east, north,
-                                          fix.velocity_e_ms,
-                                          fix.velocity_n_ms)
+            pos_est.correct_gps(east, north,
+                                fix.velocity_e_ms,
+                                fix.velocity_n_ms)
         # Vertical velocity from baro-derived altitude changes.
-        if not hasattr(self, "_last_alt"):
-            self._last_alt = (self.position_est.position[2], self.time_us)
+        altitude = pos_est.position[2]
+        if self._last_alt is None:
+            self._last_alt = (altitude, self.time_us)
         else:
             la, lt = self._last_alt
             span_s = (self.time_us - lt) / 1e6
             if span_s >= 0.1:
-                climb = (self.position_est.position[2] - la) / span_s
-                self.position_est.velocity[2] += 0.6 * (climb - self.position_est.velocity[2])
-                self._last_alt = (self.position_est.position[2], self.time_us)
+                climb = (altitude - la) / span_s
+                velocity[2] += 0.6 * (climb - velocity[2])
+                self._last_alt = (altitude, self.time_us)
 
     # -------------------------------------------------------------- navigation
     def _dist_to_target(self) -> float:

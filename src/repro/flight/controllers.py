@@ -10,7 +10,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import cos, hypot, pi, sin
 from typing import Tuple
+
+_TWO_PI = 2 * pi
+
+# The fast loop runs every controller on every tick, so the clamps below
+# are conditional expressions rather than min()/max() calls: for two
+# arguments ``x if x < hi else hi`` returns exactly what ``min(hi, x)``
+# does and ``x if x > lo else lo`` what ``max(lo, x)`` does (ties, signed
+# zeros and NaN included).  A two-sided clamp applies the upper bound
+# first, as ``max(lo, min(hi, x))`` does, so NaN still comes out ``hi``.
 
 
 class Pid:
@@ -31,14 +41,20 @@ class Pid:
         self._last_error = None
 
     def update(self, error: float, dt_s: float) -> float:
-        self._integral += error * dt_s
-        self._integral = max(-self.i_limit, min(self.i_limit, self._integral))
+        i_limit = self.i_limit
+        integral = self._integral + error * dt_s
+        integral = integral if integral < i_limit else i_limit
+        integral = integral if integral > -i_limit else -i_limit
+        self._integral = integral
         derivative = 0.0
-        if self._last_error is not None and dt_s > 0:
-            derivative = (error - self._last_error) / dt_s
+        last_error = self._last_error
+        if last_error is not None and dt_s > 0:
+            derivative = (error - last_error) / dt_s
         self._last_error = error
-        out = self.kp * error + self.ki * self._integral + self.kd * derivative
-        return max(-self.limit, min(self.limit, out))
+        out = self.kp * error + self.ki * integral + self.kd * derivative
+        limit = self.limit
+        out = out if out < limit else limit
+        return out if out > -limit else -limit
 
 
 @dataclass
@@ -76,7 +92,7 @@ class AttitudeController:
 
     @staticmethod
     def _angle_err(target: float, actual: float) -> float:
-        return (target - actual + math.pi) % (2 * math.pi) - math.pi
+        return (target - actual + pi) % _TWO_PI - pi
 
 
 class AltitudeController:
@@ -95,9 +111,13 @@ class AltitudeController:
     def update(self, target_alt: float, alt: float, climb: float, dt_s: float) -> float:
         """Returns collective throttle (0..1)."""
         desired_climb = self.pos_p * (target_alt - alt)
-        desired_climb = max(-self.max_descend, min(self.max_climb, desired_climb))
+        max_climb = self.max_climb
+        desired_climb = desired_climb if desired_climb < max_climb else max_climb
+        max_descend = -self.max_descend
+        desired_climb = desired_climb if desired_climb > max_descend else max_descend
         throttle = self.hover_throttle + self.vel.update(desired_climb - climb, dt_s)
-        return max(0.0, min(1.0, throttle))
+        throttle = throttle if throttle < 1.0 else 1.0
+        return throttle if throttle > 0.0 else 0.0
 
 
 class PositionController:
@@ -117,12 +137,14 @@ class PositionController:
     def update(self, target_enu, position, velocity, yaw: float,
                dt_s: float, speed_limit: float = None) -> Tuple[float, float]:
         """Returns desired (roll, pitch) in radians."""
-        limit = min(self.max_speed_ms, speed_limit or self.max_speed_ms)
+        max_speed = self.max_speed_ms
+        limit = speed_limit or max_speed
+        limit = limit if limit < max_speed else max_speed
         err_e = target_enu[0] - position[0]
         err_n = target_enu[1] - position[1]
         desired_ve = self.pos_p * err_e
         desired_vn = self.pos_p * err_n
-        speed = math.hypot(desired_ve, desired_vn)
+        speed = hypot(desired_ve, desired_vn)
         if speed > limit:
             scale = limit / speed
             desired_ve *= scale
@@ -132,13 +154,15 @@ class PositionController:
         lean_n = self.vel_n.update(desired_vn - velocity[1], dt_s)
         # Rotate into the body frame given compass yaw (0 = north).
         # Accelerating forward needs nose DOWN, i.e. negative pitch.
-        sy, cy = math.sin(yaw), math.cos(yaw)
+        sy, cy = sin(yaw), cos(yaw)
         pitch = -(lean_n * cy + lean_e * sy)
         roll = (lean_e * cy - lean_n * sy)
         clamp = self.max_lean_rad
+        roll = roll if roll < clamp else clamp
+        pitch = pitch if pitch < clamp else clamp
         return (
-            max(-clamp, min(clamp, roll)),
-            max(-clamp, min(clamp, pitch)),
+            roll if roll > -clamp else -clamp,
+            pitch if pitch > -clamp else -clamp,
         )
 
 
@@ -153,4 +177,13 @@ def mix_motors(throttle: float, torque_roll: float, torque_pitch: float,
     m2 = throttle + torque_roll - torque_pitch + torque_yaw
     m3 = throttle + torque_roll + torque_pitch - torque_yaw
     m4 = throttle - torque_roll - torque_pitch - torque_yaw
-    return tuple(max(0.0, min(1.0, m)) for m in (m1, m2, m3, m4))
+    m1 = m1 if m1 < 1.0 else 1.0
+    m2 = m2 if m2 < 1.0 else 1.0
+    m3 = m3 if m3 < 1.0 else 1.0
+    m4 = m4 if m4 < 1.0 else 1.0
+    return (
+        m1 if m1 > 0.0 else 0.0,
+        m2 if m2 > 0.0 else 0.0,
+        m3 if m3 > 0.0 else 0.0,
+        m4 if m4 > 0.0 else 0.0,
+    )

@@ -9,7 +9,7 @@ barometer with simple first-order corrections.
 
 from __future__ import annotations
 
-import math
+from math import atan2, exp, pi, sqrt
 from typing import Optional, Tuple
 
 from repro.devices.imu import GRAVITY, ImuReading
@@ -22,6 +22,8 @@ from repro.devices.imu import GRAVITY, ImuReading
 #: and the resulting steady attitude bias (~gyro_bias * tau) is enough to
 #: park a hover several metres off target.
 DESIGN_RATE_HZ = 400.0
+
+_TWO_PI = 2 * pi
 
 
 class AttitudeEstimator:
@@ -55,11 +57,11 @@ class AttitudeEstimator:
         ax, ay, az = imu.accel
         # Gravity direction gives absolute roll/pitch when not accelerating
         # hard; weight it by (1 - alpha).
-        accel_norm = math.sqrt(ax * ax + ay * ay + az * az)
+        accel_norm = sqrt(ax * ax + ay * ay + az * az)
         if 0.5 * GRAVITY < accel_norm < 1.5 * GRAVITY:
-            accel_roll = math.atan2(ay, az)
-            accel_pitch = math.atan2(-ax, math.sqrt(ay * ay + az * az))
-            alpha = math.exp(-dt_s / self.tau_s)
+            accel_roll = atan2(ay, az)
+            accel_pitch = atan2(-ax, sqrt(ay * ay + az * az))
+            alpha = exp(-dt_s / self.tau_s)
             self.roll = alpha * gyro_roll + (1 - alpha) * accel_roll
             self.pitch = alpha * gyro_pitch + (1 - alpha) * accel_pitch
         else:
@@ -69,10 +71,10 @@ class AttitudeEstimator:
             yaw_gyro = self.yaw + r * dt_s
             # Blend on the circle to avoid wrap glitches; the compass
             # arrives at only 10 Hz so it gets its own, larger gain.
-            err = (heading_rad - yaw_gyro + math.pi) % (2 * math.pi) - math.pi
-            self.yaw = (yaw_gyro + self.yaw_gain * err) % (2 * math.pi)
+            err = (heading_rad - yaw_gyro + pi) % _TWO_PI - pi
+            self.yaw = (yaw_gyro + self.yaw_gain * err) % _TWO_PI
         else:
-            self.yaw = (self.yaw + r * dt_s) % (2 * math.pi)
+            self.yaw = (self.yaw + r * dt_s) % _TWO_PI
         self.samples += 1
 
 
@@ -87,9 +89,18 @@ class PositionEstimator:
         self._initialized = False
 
     def predict(self, accel_enu: Tuple[float, float, float], dt_s: float) -> None:
-        for i in range(3):
-            self.velocity[i] += accel_enu[i] * dt_s
-            self.position[i] += self.velocity[i] * dt_s
+        accel_e, accel_n, accel_u = accel_enu
+        velocity = self.velocity
+        position = self.position
+        ve = velocity[0] + accel_e * dt_s
+        vn = velocity[1] + accel_n * dt_s
+        vu = velocity[2] + accel_u * dt_s
+        velocity[0] = ve
+        velocity[1] = vn
+        velocity[2] = vu
+        position[0] += ve * dt_s
+        position[1] += vn * dt_s
+        position[2] += vu * dt_s
 
     def correct_gps(self, east: float, north: float,
                     vel_e: float, vel_n: float) -> None:

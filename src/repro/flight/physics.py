@@ -15,12 +15,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import cos, exp, sin
 from typing import Optional, Tuple
 
 from repro.devices.state import DroneStateSnapshot
 from repro.flight.geo import GeoPoint, offset_geopoint
 
 GRAVITY = 9.80665
+
+_SQRT_HALF = math.sqrt(0.5)
+_TWO_PI = 2 * math.pi
+#: Induced-power model: air density, and the disk area of a 9.5" prop.
+_RHO = 1.225
+_DISK_AREA = math.pi * (0.120) ** 2
+_ROTOR_DENOM = math.sqrt(2 * _RHO * _DISK_AREA)
 
 
 @dataclass
@@ -108,17 +116,16 @@ class QuadcopterPhysics:
 
     def propulsion_power_w(self) -> float:
         """Electrical power drawn by the motors (induced-power model)."""
-        thrust = self.total_thrust()
-        if thrust <= 0.0:
+        if self.total_thrust() <= 0.0:
             return 0.0
         # P = T^(3/2) / sqrt(2 rho A) / figure-of-merit, per rotor.
-        rho = 1.225
-        disk_area = math.pi * (0.120) ** 2  # 9.5" prop
-        per_motor = [
-            (t ** 1.5) / math.sqrt(2 * rho * disk_area) / 0.55
-            for t in self.motor_thrust
-        ]
-        return sum(per_motor)
+        t1, t2, t3, t4 = self.motor_thrust
+        return sum((
+            (t1 ** 1.5) / _ROTOR_DENOM / 0.55,
+            (t2 ** 1.5) / _ROTOR_DENOM / 0.55,
+            (t3 ** 1.5) / _ROTOR_DENOM / 0.55,
+            (t4 ** 1.5) / _ROTOR_DENOM / 0.55,
+        ))
 
     # -- dynamics -------------------------------------------------------------------
     def step(self, dt_s: float, motor_commands: Tuple[float, float, float, float]) -> None:
@@ -126,86 +133,122 @@ class QuadcopterPhysics:
 
         Motor order (X configuration, ArduPilot numbering): 1 front-right
         (CCW), 2 back-left (CCW), 3 front-left (CW), 4 back-right (CW).
+
+        This is the fast loop's innermost body, so it is written out per
+        motor and per axis, on locals, with no comprehension or index
+        loop.  Its float operations and their order are pinned bit for
+        bit by ``tests/flight/fixtures/physics_trajectory.json``.  A
+        command clamp ``x if x > 0.0 else 0.0`` returns exactly what
+        ``max(0.0, x)`` does, and ``x if x < 1.0 else 1.0`` what
+        ``min(1.0, x)`` does, for signed zeros, integers and NaN alike.
         """
         if dt_s <= 0:
             raise ValueError("dt must be positive")
         p = self.params
-        commands = [min(1.0, max(0.0, c)) for c in motor_commands]
-        # First-order motor response toward commanded thrust.
-        alpha = 1.0 - math.exp(-dt_s / p.motor_tau_s)
-        for i in range(4):
-            target = commands[i] * p.max_thrust_per_motor_n
-            self.motor_thrust[i] += (target - self.motor_thrust[i]) * alpha
-
-        t1, t2, t3, t4 = self.motor_thrust
+        # First-order motor response toward the commanded thrust.
+        alpha = 1.0 - exp(-dt_s / p.motor_tau_s)
+        max_thrust = p.max_thrust_per_motor_n
+        c1, c2, c3, c4 = motor_commands
+        c1 = c1 if c1 > 0.0 else 0.0
+        c2 = c2 if c2 > 0.0 else 0.0
+        c3 = c3 if c3 > 0.0 else 0.0
+        c4 = c4 if c4 > 0.0 else 0.0
+        motor = self.motor_thrust
+        t1, t2, t3, t4 = motor
+        t1 += ((c1 if c1 < 1.0 else 1.0) * max_thrust - t1) * alpha
+        t2 += ((c2 if c2 < 1.0 else 1.0) * max_thrust - t2) * alpha
+        t3 += ((c3 if c3 < 1.0 else 1.0) * max_thrust - t3) * alpha
+        t4 += ((c4 if c4 < 1.0 else 1.0) * max_thrust - t4) * alpha
+        motor[0] = t1
+        motor[1] = t2
+        motor[2] = t3
+        motor[3] = t4
         thrust = t1 + t2 + t3 + t4
         # X config: motors 3,2 on the left/back-left, 1,4 right... compute
         # torques with the standard 45-degree arm projection.
-        arm = p.arm_length_m * math.sqrt(0.5)
+        arm = p.arm_length_m * _SQRT_HALF
         torque_roll = arm * ((t2 + t3) - (t1 + t4))    # left minus right
         torque_pitch = arm * ((t1 + t3) - (t2 + t4))   # front minus back
         torque_yaw = p.yaw_torque_coeff * ((t1 + t2) - (t3 + t4))  # CCW - CW
 
         # Angular dynamics.
         ix, iy, iz = p.inertia
+        angular_drag = p.angular_drag
         rp, rq, rr = self.rates
-        rp += (torque_roll - p.angular_drag * rp) / ix * dt_s
-        rq += (torque_pitch - p.angular_drag * rq) / iy * dt_s
-        rr += (torque_yaw - p.angular_drag * rr) / iz * dt_s
+        rp += (torque_roll - angular_drag * rp) / ix * dt_s
+        rq += (torque_pitch - angular_drag * rq) / iy * dt_s
+        rr += (torque_yaw - angular_drag * rr) / iz * dt_s
         self.rates = [rp, rq, rr]
-        self.roll += rp * dt_s
-        self.pitch += rq * dt_s
-        self.yaw = (self.yaw + rr * dt_s) % (2 * math.pi)
+        roll = self.roll + rp * dt_s
+        pitch = self.pitch + rq * dt_s
+        yaw = (self.yaw + rr * dt_s) % _TWO_PI
+        self.roll = roll
+        self.pitch = pitch
+        self.yaw = yaw
 
         # Thrust direction.  Conventions: yaw 0 faces north, positive
         # clockwise (compass); positive roll = right side down (accelerates
         # right); positive pitch = nose up (accelerates backward).
-        sr, cr = math.sin(self.roll), math.cos(self.roll)
-        sp, cp = math.sin(self.pitch), math.cos(self.pitch)
-        sy, cy = math.sin(self.yaw), math.cos(self.yaw)
+        sr, cr = sin(roll), cos(roll)
+        sp, cp = sin(pitch), cos(pitch)
+        sy, cy = sin(yaw), cos(yaw)
         forward_force = thrust * (-sp)          # nose up -> backward
         right_force = thrust * (sr * cp)        # right down -> right
         up_force = thrust * (cp * cr)
         # Body-forward in ENU is (sin yaw, cos yaw); body-right is
         # (cos yaw, -sin yaw) for compass yaw.
+        mass = p.mass_kg
         force_e = forward_force * sy + right_force * cy
         force_n = forward_force * cy - right_force * sy
-        force_u = up_force - p.mass_kg * GRAVITY
+        force_u = up_force - mass * GRAVITY
 
-        gust = (0.0, 0.0, 0.0)
-        if self._rng is not None:
-            gust = tuple(self._rng.gauss(0.0, 0.05) for _ in range(3))
-        rel_v = [self.velocity[i] - self.wind_enu[i] for i in range(3)]
-        accel = [
-            (force_e - p.linear_drag * rel_v[0]) / p.mass_kg + gust[0],
-            (force_n - p.linear_drag * rel_v[1]) / p.mass_kg + gust[1],
-            (force_u - p.linear_drag * rel_v[2]) / p.mass_kg + gust[2],
-        ]
+        rng = self._rng
+        if rng is None:
+            gust_e = gust_n = gust_u = 0.0
+        else:
+            gauss = rng.gauss
+            gust_e = gauss(0.0, 0.05)
+            gust_n = gauss(0.0, 0.05)
+            gust_u = gauss(0.0, 0.05)
+        velocity = self.velocity
+        ve, vn, vu = velocity
+        wind_e, wind_n, wind_u = self.wind_enu
+        drag = p.linear_drag
+        accel_e = (force_e - drag * (ve - wind_e)) / mass + gust_e
+        accel_n = (force_n - drag * (vn - wind_n)) / mass + gust_n
+        accel_u = (force_u - drag * (vu - wind_u)) / mass + gust_u
         # Dynamic acceleration rotated into the body frame (yaw only; the
         # small-tilt approximation is plenty for the IMU model, which adds
         # the gravity components itself).
         self._last_accel_body = (
-            accel[0] * sy + accel[1] * cy,
-            accel[0] * cy - accel[1] * sy,
-            accel[2],
+            accel_e * sy + accel_n * cy,
+            accel_e * cy - accel_n * sy,
+            accel_u,
         )
 
-        for i in range(3):
-            self.velocity[i] += accel[i] * dt_s
-        for i in range(3):
-            self.position[i] += self.velocity[i] * dt_s
+        ve += accel_e * dt_s
+        vn += accel_n * dt_s
+        vu += accel_u * dt_s
+        velocity[0] = ve
+        velocity[1] = vn
+        velocity[2] = vu
+        position = self.position
+        position[0] += ve * dt_s
+        position[1] += vn * dt_s
+        up = position[2] + vu * dt_s
+        position[2] = up
 
         # Ground contact.
-        if self.position[2] <= 0.0:
-            self.position[2] = 0.0
-            if self.velocity[2] < 0.0:
-                self.velocity[2] = 0.0
-            if thrust < p.mass_kg * GRAVITY * 0.95:
+        if up <= 0.0:
+            position[2] = up = 0.0
+            if vu < 0.0:
+                velocity[2] = 0.0
+            if thrust < mass * GRAVITY * 0.95:
                 self.on_ground = True
                 self.velocity = [0.0, 0.0, 0.0]
                 self.rates = [0.0, 0.0, 0.0]
                 self.roll = self.pitch = 0.0
-        if self.position[2] > 0.02:
+        if up > 0.02:
             self.on_ground = False
 
         self.propulsion_energy_j += self.propulsion_power_w() * dt_s

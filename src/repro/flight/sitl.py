@@ -78,9 +78,11 @@ class SitlDrone:
         if not self._running:
             return
         now = self.sim.now
-        dt_s = max(1e-4, (now - self._last_tick_us) / 1e6) if self._last_tick_us is not None else 1.0 / self.rate_hz
-        if self._last_tick_us == now:
+        last = self._last_tick_us
+        if last is None or last == now:
             dt_s = 1.0 / self.rate_hz
+        else:
+            dt_s = max(1e-4, (now - last) / 1e6)
         self._last_tick_us = now
         commands = self.autopilot.control_step(dt_s)
         self.physics.step(dt_s, commands)

@@ -23,7 +23,11 @@ the same behavior-trace digest (events and spans, modulo merge order
 and span-id renumbering) as the serial ``FleetHarness.run()`` —
 ``tests/loadgen/test_executor.py`` enforces this at 1, 2, and 4
 workers, and the golden-trace digest pins the single-drone case
-byte-for-byte.
+byte-for-byte.  Every harness, serial or shard, powers a drone down
+the instant its last flight completes (``FleetHarness._finalize_slot``
+stops its flight loop, telemetry fan-out and VFC servers), so a drone
+flies the same fast-loop ticks whether the rest of the fleet is still
+flying or was never built (``tests/loadgen/test_power_down.py``).
 
 Determinism notes:
 

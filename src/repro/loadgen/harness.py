@@ -519,16 +519,18 @@ class FleetHarness:
         return self._collect()
 
     def _finalize_slot(self, slot: _DroneSlot) -> None:
-        """Power down one drone's telemetry the instant its last flight
-        completes, freezing its per-tenant counts right there.
+        """Power down one drone the instant its last flight completes,
+        freezing its per-tenant counts right there.
 
-        A landed drone's fan-out and VFC servers stop emitting, and the
-        station/frame counts are snapshotted before any later-queued
-        event can touch them — so a drone's stats are identical whether
-        the rest of the fleet is still flying (serial run) or was never
-        built (sharded run, :mod:`repro.loadgen.executor`)."""
+        A landed drone's flight loop stops ticking, its fan-out and VFC
+        servers stop emitting, and the station/frame counts are
+        snapshotted before any later-queued event can touch them — so a
+        drone's stats, and the fast-loop ticks it flew, are identical
+        whether the rest of the fleet is still flying (serial run) or
+        was never built (sharded run, :mod:`repro.loadgen.executor`)."""
         if slot.final_counts is not None:
             return
+        slot.node.sitl.stop()
         slot.fanout.stop()
         counts: Dict[str, Dict] = {}
         for tenant in slot.tenants:

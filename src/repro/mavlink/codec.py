@@ -23,12 +23,21 @@ class CodecError(ValueError):
     """Malformed or corrupt MAVLink frame."""
 
 
+def _crc_table_entry(tmp: int) -> int:
+    """What the bitwise CRC-16/MCRF4XX step XORs into ``crc >> 8`` once
+    the low byte of the running CRC and the data byte combine to ``tmp``."""
+    tmp = (tmp ^ (tmp << 4)) & 0xFF
+    return ((tmp << 8) ^ (tmp << 3) ^ (tmp >> 4)) & 0xFFFF
+
+
+_CRC_TABLE = tuple(_crc_table_entry(tmp) for tmp in range(256))
+
+
 def x25_crc(data: bytes, crc: int = 0xFFFF) -> int:
-    """CRC-16/MCRF4XX, the MAVLink checksum."""
+    """CRC-16/MCRF4XX, the MAVLink checksum (one table lookup per byte)."""
+    table = _CRC_TABLE
     for byte in data:
-        tmp = byte ^ (crc & 0xFF)
-        tmp = (tmp ^ (tmp << 4)) & 0xFF
-        crc = ((crc >> 8) ^ (tmp << 8) ^ (tmp << 3) ^ (tmp >> 4)) & 0xFFFF
+        crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFF]
     return crc
 
 

@@ -3,7 +3,7 @@
 
 ``make profile`` runs this.  It drives four representative workloads
 under cProfile — the figure-10 device-service storm (the binder/service
-hot loop), a small fleet soak (the full simulator event loop), the
+hot loop), perfbench's fleet soak (the full simulator event loop), the
 scalar flight integrator, and a 160-order city through the sharded
 control plane — then renders:
 
@@ -74,12 +74,13 @@ def workload_storm(calls: int):
 
 
 def workload_soak(calls: int):
-    """A small fleet soak: the whole simulator, missions included."""
-    from repro.loadgen import FleetScenario
-    from repro.loadgen.harness import run_scenario
+    """perfbench's fleet soak (4 drones x 4 tenants, chaos level 1, seed
+    1): the whole simulator, missions and staggered landings included."""
+    from repro.loadgen import FleetHarness, FleetScenario
 
-    scenario = FleetScenario(seed=42, drones=1, tenants_per_drone=2)
-    return lambda: run_scenario(scenario)
+    harness = FleetHarness(FleetScenario(
+        seed=1, drones=4, tenants_per_drone=4, chaos_level=1))
+    return harness.run
 
 
 def workload_flight(calls: int):
